@@ -43,7 +43,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 2, "job worker pool size")
 		queue        = flag.Int("queue", 64, "bounded job queue capacity")
-		cacheMB      = flag.Int64("cache-mb", 256, "artifact cache budget in MiB")
+		cacheMB      = flag.Int64("cache-mb", 256, "artifact cache budget in MiB; finished jobs keep at most 1/16 of it in solution arrays")
 		maxBodyMB    = flag.Int64("max-body-mb", 32, "request body limit in MiB")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "per-job evaluation cap")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain window")

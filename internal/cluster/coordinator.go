@@ -561,7 +561,12 @@ func (co *Coordinator) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	v := job.View()
 	switch v.State {
 	case server.StateDone:
-		sol, _ := job.Solution()
+		sol, ok := job.Solution()
+		if !ok {
+			writeError(w, http.StatusGone, "job %s result was evicted to bound retained results (%d points); resubmit the job",
+				job.ID, v.NumPoints)
+			return
+		}
 		body := map[string]any{
 			"job_id":          job.ID,
 			"scheme":          job.Spec.Scheme,
@@ -665,6 +670,7 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, j := range co.jobs.list() {
 		states[j.View().State]++
 	}
+	retained, evicted := co.jobs.results.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_ms": float64(time.Since(co.start)) / float64(time.Millisecond),
 		"cluster":   co.counters.Snapshot(),
@@ -672,6 +678,10 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"routing":   routing,
 		"jobs":      states,
 		"meshes":    len(meshIDs),
+		// Merged distributed solutions, bounded like a shard's results;
+		// evicted ones answer 410 on their result endpoint.
+		"retained_result_bytes": retained,
+		"results_evicted":       evicted,
 	})
 }
 

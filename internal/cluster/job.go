@@ -40,6 +40,8 @@ type Job struct {
 	err        error
 	errKind    string
 	shards     []string // shards that contributed partials (distributed)
+	numPoints  int      // len(solution), kept when the solution is evicted
+	evicted    bool     // solution dropped by the registry's ResultRetention
 	solution   []float64
 	counters   metrics.Counters
 	coverage   *core.Coverage
@@ -59,7 +61,9 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // JobView is the JSON status of a cluster job. It mirrors the shard's
 // JobStatus shape so clients can treat coordinator and shard uniformly,
 // plus the cluster-only fields (kind, contributing shards, error kind,
-// uncovered-point ids).
+// uncovered-point ids). Evicted reports that the merged solution was
+// dropped to keep retained results within the byte budget; the result
+// endpoint answers 410 Gone.
 type JobView struct {
 	ID     string          `json:"id"`
 	State  server.JobState `json:"state"`
@@ -72,6 +76,7 @@ type JobView struct {
 	// request itself being invalid).
 	ErrorKind string            `json:"error_kind,omitempty"`
 	NumPoints int               `json:"num_points,omitempty"`
+	Evicted   bool              `json:"result_evicted,omitempty"`
 	WallMS    float64           `json:"wall_ms,omitempty"`
 	MemOverhd float64           `json:"memory_overhead,omitempty"`
 	Counters  *metrics.Counters `json:"counters,omitempty"`
@@ -112,7 +117,8 @@ func (j *Job) View() JobView {
 		v.WallMS = float64(j.finished.Sub(j.started)) / float64(time.Millisecond)
 	}
 	if j.state == server.StateDone {
-		v.NumPoints = len(j.solution)
+		v.NumPoints = j.numPoints
+		v.Evicted = j.evicted
 		v.MemOverhd = j.memOverhd
 		c := j.counters
 		v.Counters = &c
@@ -126,31 +132,47 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// Solution returns the merged solution once the job is done.
+// Solution returns the merged solution once the job is done, unless it
+// has been evicted (see View().Evicted).
 func (j *Job) Solution() ([]float64, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != server.StateDone {
+	if j.state != server.StateDone || j.evicted {
 		return nil, false
 	}
 	return j.solution, true
 }
 
+// dropSolution releases the merged solution, keeping every status field.
+func (j *Job) dropSolution() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.solution = nil
+	j.evicted = true
+}
+
 // registry owns cluster job records, with bounded retention like the
-// shard-side Manager.
+// shard-side Manager: at most max records, and merged solutions within
+// the byte budget a shard applies to its results at the default cache
+// size.
 type registry struct {
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	nextID uint64
-	max    int
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	order   []string
+	nextID  uint64
+	max     int
+	results *server.ResultRetention
 }
 
 func newRegistry(max int) *registry {
 	if max <= 0 {
 		max = 4096
 	}
-	return &registry{jobs: make(map[string]*Job), max: max}
+	return &registry{
+		jobs:    make(map[string]*Job),
+		max:     max,
+		results: server.NewResultRetention(server.ResultBudget(server.DefaultCacheBytes)),
+	}
 }
 
 func (r *registry) add(kind JobKind, spec server.JobSpec) *Job {
@@ -270,6 +292,7 @@ func (co *Coordinator) runDistributed(ctx context.Context, job *Job) {
 	} else {
 		job.state = server.StateDone
 		job.solution = out.solution
+		job.numPoints = len(out.solution)
 		job.counters = out.counters
 		job.memOverhd = out.memOverhd
 		job.shards = out.shards
@@ -278,6 +301,9 @@ func (co *Coordinator) runDistributed(ctx context.Context, job *Job) {
 		job.uncovTrunc = out.uncovTrunc
 	}
 	job.mu.Unlock()
+	if err == nil {
+		co.jobs.results.Retain(int64(len(out.solution))*8, job.dropSolution)
+	}
 	close(job.done)
 	if co.log != nil {
 		co.log.Info("distributed job finished",

@@ -113,19 +113,22 @@ func (op *Operator) applyRowsBSR(coeffs, out []float64, lo, hi int) {
 	}
 }
 
-// applyRowsBlockBSR is applyRowsBlock on the blocked layout, with the
-// inner loops swapped field-major: within one element block, each field
-// walks the whole basisN-long mode run with its Neumaier pair held in
-// registers, instead of spilling all fieldBlock accumulator pairs to the
-// stack on every entry the way the scalar kernel must (scalar CSR has no
-// mode runs — consecutive entries land on unrelated columns). Fields are
-// independent accumulators and each field still consumes its terms in
+// applyRowsBlockBSRGo is the portable blocked tile kernel, applyRowsBlock
+// on the blocked layout for a tile packed with row stride ld ≥ fb, with
+// the inner loops swapped field-major: within one element block, each
+// field walks the whole basisN-long mode run with its Neumaier pair held
+// in registers, instead of spilling all fieldBlock accumulator pairs to
+// the stack on every entry the way the scalar kernel must (scalar CSR has
+// no mode runs — consecutive entries land on unrelated columns). Fields
+// are independent accumulators and each field still consumes its terms in
 // exactly the CSR entry order (modes ascending within a block, blocks
 // ascending within the row), so the swap cannot perturb a bit of any
 // field's sum — the identity the property tests pin. The block's packed
-// tile (basisN·fb floats) is re-read once per field, but it was just
-// written or read and stays cache-resident.
-func (op *Operator) applyRowsBlockBSR(packed []float64, fb int, out [][]float64, lo, hi int) {
+// tile (basisN·ld floats) is re-read once per field, but it was just
+// written or read and stays cache-resident. It is the kernel on
+// architectures without an assembly one (tile_other.go) and the reference
+// the amd64 kernel is tested and benchmarked against.
+func (op *Operator) applyRowsBlockBSRGo(packed []float64, fb, ld int, out [][]float64, lo, hi int) {
 	var sum, comp [fieldBlock]float64
 	basisN := op.BasisN
 	for r := lo; r < hi; r++ {
@@ -135,13 +138,13 @@ func (op *Operator) applyRowsBlockBSR(packed []float64, fb int, out [][]float64,
 		}
 		for b := range ids {
 			vb := vals[b*basisN:][:basisN]
-			blk := packed[(int(base)+int(ids[b]))*basisN*fb:][:basisN*fb]
+			blk := packed[(int(base)+int(ids[b]))*basisN*ld:][:basisN*ld]
 			for f := 0; f < fb; f++ {
 				s, c := sum[f], comp[f]
 				o := f
 				for m := 0; m < basisN; m++ {
 					term := vb[m] * blk[o]
-					o += fb
+					o += ld
 					t := s + term
 					// Same select-form compensation as applyRowsBSR: both
 					// error expressions, predicate picks one — value-identical

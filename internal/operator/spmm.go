@@ -94,9 +94,10 @@ func putPacked(v []float64) {
 //
 // cache-blocked over rows and fields. Fields are processed in tiles of
 // fieldBlock; within a tile the coefficients are packed row-major
-// (packed[col·F + f] = coeffs[f][col]) so the innermost loop over fields
-// reads one contiguous F-wide block per operator entry, and each CSR entry
-// is streamed from memory once per tile instead of once per field.
+// (packed[col·ld + f] = coeffs[f][col], ld = fb, or tileStride(fb) for
+// blocked operators) so the innermost loop over fields reads one
+// contiguous block per operator entry, and each CSR entry is streamed from
+// memory once per tile instead of once per field.
 //
 // Per (row, field) the floating-point operation sequence — term order and
 // Neumaier compensation — is exactly ApplyVec's, so results are
@@ -104,6 +105,16 @@ func putPacked(v []float64) {
 // workers <= 1 runs serially; each storage row is summed by exactly one
 // worker and written to its own output slots.
 func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int) error {
+	return op.applyBlock(coeffs, out, workers, (*Operator).applyRowsBlockBSR)
+}
+
+// bsrTileKernel sums rows [lo, hi) of one field tile of a blocked operator:
+// applyRowsBlockBSR (the architecture's kernel) or applyRowsBlockBSRGo.
+type bsrTileKernel func(op *Operator, packed []float64, fb, ld int, out [][]float64, lo, hi int)
+
+// applyBlock is ApplyBlock with the blocked tile kernel as a parameter, so
+// tests and benchmarks can run the portable kernel on any architecture.
+func (op *Operator) applyBlock(coeffs [][]float64, out [][]float64, workers int, bsrKernel bsrTileKernel) error {
 	nf := len(coeffs)
 	if nf == 0 {
 		return fmt.Errorf("operator: ApplyBlock needs at least one field")
@@ -121,7 +132,7 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 				f, len(out[f]), op.Rows)
 		}
 	}
-	packed := getPacked(op.Cols * min(nf, fieldBlock))
+	packed := getPacked(op.Cols * op.packStride(min(nf, fieldBlock)))
 	defer putPacked(packed)
 
 	nBlocks := (op.Rows + applyBlock - 1) / applyBlock
@@ -130,16 +141,25 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 	}
 	for f0 := 0; f0 < nf; f0 += fieldBlock {
 		fb := min(fieldBlock, nf-f0)
-		tile := packed[:op.Cols*fb]
+		ld := op.packStride(fb)
+		// Capacity capped at the tile, so the kernels' bounds checks are
+		// against the coefficients packed for this tile, never stale pool
+		// data beyond them.
+		tile := packed[: op.Cols*ld : op.Cols*ld]
 		for f := 0; f < fb; f++ {
 			cf := coeffs[f0+f]
 			for c := 0; c < op.Cols; c++ {
-				tile[c*fb+f] = cf[c]
+				tile[c*ld+f] = cf[c]
+			}
+		}
+		for f := fb; f < ld; f++ {
+			for c := 0; c < op.Cols; c++ {
+				tile[c*ld+f] = 0
 			}
 		}
 		outs := out[f0 : f0+fb]
 		if workers <= 1 {
-			op.applyRowsBlockAny(tile, fb, outs, 0, op.Rows)
+			op.applyRowsBlockAny(bsrKernel, tile, fb, ld, outs, 0, op.Rows)
 			continue
 		}
 		var next atomic.Int64
@@ -155,7 +175,7 @@ func (op *Operator) ApplyBlock(coeffs [][]float64, out [][]float64, workers int)
 					}
 					lo := b * applyBlock
 					hi := min(lo+applyBlock, op.Rows)
-					op.applyRowsBlockAny(tile, fb, outs, lo, hi)
+					op.applyRowsBlockAny(bsrKernel, tile, fb, ld, outs, lo, hi)
 				}
 			}()
 		}
@@ -182,12 +202,21 @@ func (op *Operator) ApplyBlockCounters(nf int) metrics.Counters {
 	}
 }
 
+// packStride is the packed-tile row stride for fb fields: the scalar CSR
+// kernel reads stride fb, the blocked kernel its architecture's stride.
+func (op *Operator) packStride(fb int) int {
+	if op.BSR != nil {
+		return tileStride(fb)
+	}
+	return fb
+}
+
 // applyRowsBlockAny dispatches a row range to the tile kernel matching the
 // operator's layout. A plain branch (not a method value) keeps the apply
 // paths allocation-free.
-func (op *Operator) applyRowsBlockAny(packed []float64, fb int, out [][]float64, lo, hi int) {
+func (op *Operator) applyRowsBlockAny(bsrKernel bsrTileKernel, packed []float64, fb, ld int, out [][]float64, lo, hi int) {
 	if op.BSR != nil {
-		op.applyRowsBlockBSR(packed, fb, out, lo, hi)
+		bsrKernel(op, packed, fb, ld, out, lo, hi)
 	} else {
 		op.applyRowsBlock(packed, fb, out, lo, hi)
 	}

@@ -198,6 +198,9 @@ type Job struct {
 	state     JobState
 	err       error
 	result    *core.Result
+	numPoints int      // len(result.Solution), kept when the arrays are evicted
+	numFields int      // len(result.Solutions), likewise
+	evicted   bool     // result arrays dropped by the manager's ResultRetention
 	cacheHits []string // artifact kinds served warm ("evaluator", "tiling")
 	created   time.Time
 	started   time.Time
@@ -207,7 +210,9 @@ type Job struct {
 	done      chan struct{}
 }
 
-// JobStatus is the JSON view of a job.
+// JobStatus is the JSON view of a job. Evicted reports that the job's
+// solution arrays were dropped to keep retained results within the byte
+// budget (see ResultRetention); its result endpoint answers 410 Gone.
 type JobStatus struct {
 	ID         string            `json:"id"`
 	State      JobState          `json:"state"`
@@ -216,6 +221,7 @@ type JobStatus struct {
 	CacheHits  []string          `json:"cache_hits,omitempty"`
 	NumPoints  int               `json:"num_points,omitempty"`
 	NumFields  int               `json:"num_fields,omitempty"`
+	Evicted    bool              `json:"result_evicted,omitempty"`
 	WallMS     float64           `json:"wall_ms,omitempty"`
 	MemOverhd  float64           `json:"memory_overhead,omitempty"`
 	Counters   *metrics.Counters `json:"counters,omitempty"`
@@ -249,8 +255,9 @@ func (j *Job) Status() JobStatus {
 		st.FinishedAt = &t
 	}
 	if j.result != nil {
-		st.NumPoints = len(j.result.Solution)
-		st.NumFields = len(j.result.Solutions)
+		st.NumPoints = j.numPoints
+		st.NumFields = j.numFields
+		st.Evicted = j.evicted
 		st.WallMS = float64(j.result.Wall) / float64(time.Millisecond)
 		st.MemOverhd = j.result.MemoryOverhead
 		c := j.result.Total
@@ -263,14 +270,40 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Result returns the run result once the job is done.
+// Result returns the run result once the job is done, unless its arrays
+// have been evicted (see Status().Evicted).
 func (j *Job) Result() (*core.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone || j.result == nil {
+	if j.state != StateDone || j.result == nil || j.evicted {
 		return nil, false
 	}
 	return j.result, true
+}
+
+// dropResult releases the job's solution arrays, keeping every status
+// field. The result is replaced, not mutated, so a handler still encoding
+// the old one is unaffected.
+func (j *Job) dropResult() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r := *j.result
+	r.Solution, r.Solutions = nil, nil
+	j.result = &r
+	j.evicted = true
+}
+
+// solutionBytes is the resident size of a result's solution arrays
+// (Solution aliases Solutions[0] when both are set).
+func solutionBytes(r *core.Result) int64 {
+	if len(r.Solutions) == 0 {
+		return int64(len(r.Solution)) * 8
+	}
+	var n int64
+	for _, s := range r.Solutions {
+		n += int64(len(s)) * 8
+	}
+	return n
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -295,6 +328,7 @@ type Manager struct {
 	stageTimeout time.Duration
 	defBlocks    int
 	maxJobs      int
+	results      *ResultRetention
 	retry        RetryPolicy
 	journal      *Journal
 	faults       *metrics.FaultCounters
@@ -390,6 +424,7 @@ func NewManager(arts *Artifacts, log *slog.Logger, cfg ManagerConfig) *Manager {
 		stageTimeout: cfg.StageTimeout,
 		defBlocks:    cfg.DefaultBlock,
 		maxJobs:      cfg.MaxJobs,
+		results:      NewResultRetention(ResultBudget(arts.cache.maxBytes)),
 		retry:        cfg.Retry,
 		journal:      cfg.Journal,
 		faults:       cfg.Faults,
@@ -617,6 +652,10 @@ func (m *Manager) Workers() int { return m.workers }
 // Busy returns how many workers are currently executing a job.
 func (m *Manager) Busy() int { return int(m.busy.Load()) }
 
+// RetainedResults reports the solution bytes finished jobs hold and how
+// many results the byte budget has evicted.
+func (m *Manager) RetainedResults() (bytes int64, evicted uint64) { return m.results.Stats() }
+
 // Totals returns cumulative per-scheme counters.
 func (m *Manager) Totals() map[string]metrics.TotalSnapshot { return m.totals.Snapshot() }
 
@@ -744,6 +783,7 @@ func (m *Manager) runJob(job *Job) {
 	} else {
 		job.state = StateDone
 		job.result = res
+		job.numPoints, job.numFields = len(res.Solution), len(res.Solutions)
 		m.totals.Record(job.Spec.Scheme, &res.Total)
 		if res.Coverage != nil {
 			m.faults.DegradedJobs.Add(1)
@@ -751,6 +791,9 @@ func (m *Manager) runJob(job *Job) {
 	}
 	state, wall := job.state, job.finished.Sub(job.started)
 	job.mu.Unlock()
+	if state == StateDone {
+		m.results.Retain(solutionBytes(res), job.dropResult)
+	}
 	close(job.done)
 	m.observeService(wall)
 	m.journalFinish(job.ID, state)

@@ -51,7 +51,8 @@ type Config struct {
 	// QueueSize bounds the FIFO job queue (default 64); submissions beyond
 	// it receive 503.
 	QueueSize int
-	// CacheBytes bounds the artifact cache (default 256 MiB).
+	// CacheBytes bounds the artifact cache (default 256 MiB); finished
+	// jobs retain at most ResultBudget(CacheBytes) of solution arrays.
 	CacheBytes int64
 	// MaxBodyBytes bounds request bodies, mesh uploads included
 	// (default 32 MiB).
@@ -89,7 +90,7 @@ func (c *Config) defaults() {
 		c.QueueSize = 64
 	}
 	if c.CacheBytes <= 0 {
-		c.CacheBytes = 256 << 20
+		c.CacheBytes = DefaultCacheBytes
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
@@ -397,6 +398,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	res, ok := job.Result()
 	if !ok {
 		st := job.Status()
+		if st.Evicted {
+			writeError(w, http.StatusGone, "job %s result was evicted to bound retained results (%d points); resubmit the job",
+				job.ID, st.NumPoints)
+			return
+		}
 		if st.State == StateFailed {
 			writeError(w, http.StatusConflict, "job %s failed: %s", job.ID, st.Error)
 			return
@@ -481,6 +487,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cache := s.arts.Stats()
+	retained, evicted := s.mgr.RetainedResults()
 	body := map[string]any{
 		"uptime_ms":      float64(time.Since(s.start)) / float64(time.Millisecond),
 		"queue_depth":    s.mgr.QueueDepth(),
@@ -488,8 +495,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"workers":        s.mgr.Workers(),
 		"workers_busy":   s.mgr.Busy(),
 		"jobs":           s.mgr.StateCounts(),
-		"cache":          cache,
-		"cache_hit_rate": cache.HitRate(),
+		// Finished jobs' solution arrays, bounded by ResultBudget; evicted
+		// results answer 410 on their result endpoint.
+		"retained_result_bytes": retained,
+		"results_evicted":       evicted,
+		"cache":                 cache,
+		"cache_hit_rate":        cache.HitRate(),
 		// Per-class residency: the "op"/"qop" rows are the assembled-operator
 		// LRU accounting (resident bytes, cumulative evictions).
 		"cache_classes": s.arts.cache.StatsByClass(),

@@ -205,10 +205,34 @@ func (c *Client) once(ctx context.Context, method, shard, path string, body []by
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeBody(resp, out); err != nil {
 		return resp.StatusCode, fmt.Errorf("decoding shard response: %w", err)
 	}
 	return resp.StatusCode, nil
+}
+
+// maxSizedBody bounds the Content-Length decodeBody allocates for up
+// front; a larger body streams through json.Decoder like a chunked one.
+const maxSizedBody = 64 << 20
+
+// decodeBody decodes a JSON response body into out. A body of known
+// length is read into one buffer of exactly that size and unmarshalled in
+// a single pass, instead of through a json.Decoder buffer regrown as the
+// body arrives (about half the bytes allocated for a shard's patch
+// partials). The buffer is deliberately not pooled: a pool keeps
+// the largest recent bodies live, which raises the GC heap goal and peak
+// RSS by more than the garbage it saves. A chunked body (unknown length)
+// streams through json.Decoder.
+func decodeBody(resp *http.Response, out any) error {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf, out)
 }
 
 // transientRemote is a retryable non-2xx response (5xx), optionally

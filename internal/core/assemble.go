@@ -525,7 +525,14 @@ func (ev *Evaluator) integrateWeights(center geom.Point, e int32, wk *worker) bo
 	j1 = min(j1, ky.NumPieces()-1)
 
 	invH := 1 / h
+	if !(tri.Area() > 0) {
+		// A zero-area or NaN element clips to nothing in every cell.
+		wk.counters.Flops += uint64((i1 - i0 + 1) * (j1 - j0 + 1) * 3 * metrics.FlopsPerClipVertex)
+		return false
+	}
 	inv := tri.AffineInverse()
+	ccw, tb := tri.CCW(), tri.Bounds()
+	rq := &wk.rq
 	minArea := 1e-14 * tri.Area()
 	quadFlops := metrics.FlopsPerQuadEval(ev.Opt.P, ev.Opt.P)
 
@@ -540,29 +547,20 @@ func (ev *Evaluator) integrateWeights(center geom.Point, e int32, wk *worker) bo
 		for i := i0; i <= i1; i++ {
 			cx0 := h * (bxlo + float64(i))
 			px := kx.Piece(i)
-			cell := geom.Box(cx0, cy0, cx0+h, cy0+h)
-			poly := wk.clip.ClipTriangleBox(tri, cell)
+			poly := wk.clip.ClipBounded(ccw, tb, geom.Box(cx0, cy0, cx0+h, cy0+h))
 			wk.counters.Flops += uint64((len(poly) + 3) * metrics.FlopsPerClipVertex)
 			if len(poly) < 3 {
 				continue
 			}
-			wk.tris = geom.SplitFan(geom.Polygon(poly), wk.tris[:0], minArea)
-			for _, tau := range wk.tris {
+			wk.fan = geom.SplitFanJac(poly, wk.fan[:0], minArea)
+			for k := range wk.fan {
 				integrated = true
 				wk.counters.Regions++
 				wk.counters.Flops += metrics.FlopsPerRegion
-				jac := 2 * tau.Area()
-				bxu, bxv := tau.B.X-tau.A.X, tau.C.X-tau.A.X
-				byu, byv := tau.B.Y-tau.A.Y, tau.C.Y-tau.A.Y
-				dax, day := tau.A.X-inv.X0, tau.A.Y-inv.Y0
-				r0 := (dax*inv.Ys - day*inv.Xs) * inv.InvDet
-				ru := (bxu*inv.Ys - byu*inv.Xs) * inv.InvDet
-				rv := (bxv*inv.Ys - byv*inv.Xs) * inv.InvDet
-				s0 := (day*inv.Xr - dax*inv.Yr) * inv.InvDet
-				su := (byu*inv.Xr - bxu*inv.Yr) * inv.InvDet
-				sv := (byv*inv.Xr - bxv*inv.Yr) * inv.InvDet
-				tx0, txu, txv := (tau.A.X-cx0)*invH, bxu*invH, bxv*invH
-				ty0, tyu, tyv := (tau.A.Y-cy0)*invH, byu*invH, byv*invH
+				rq.mapRegion(&wk.fan[k], &inv, cx0, cy0, invH)
+				r0, ru, rv, s0, su, sv := rq.r0, rq.ru, rq.rv, rq.s0, rq.su, rq.sv
+				tx0, txu, txv, ty0, tyu, tyv := rq.tx0, rq.txu, rq.txv, rq.ty0, rq.tyu, rq.tyv
+				jac := rq.jac
 				for q, rp := range qpts {
 					r := r0 + ru*rp.X + rv*rp.Y
 					s := s0 + su*rp.X + sv*rp.Y

@@ -186,6 +186,11 @@ type Evaluator struct {
 	// P); integrate then falls back to the modal EvalAll path.
 	horner *dg.HornerField
 
+	// quad is the straight-line quadrature kernel for this order, chosen
+	// once at construction; nil runs quadGeneric (P >= 5 or the modal
+	// fallback).
+	quad quadKernel
+
 	// osCache memoises one-sided kernels by quantised node shift, turning
 	// the per-candidate LU moment solve into an amortised map lookup. nil
 	// unless Boundary == OneSided.
@@ -279,6 +284,9 @@ func NewEvaluator(f *dg.Field, opt Options) (*Evaluator, error) {
 	ev.pointGrid = grid.New(locs, opt.CellFactorElem*s)
 
 	ev.buildHornerField()
+	if ev.horner != nil && opt.P < len(quadKernels) {
+		ev.quad = quadKernels[opt.P]
+	}
 	return ev, nil
 }
 
@@ -364,7 +372,8 @@ func (ev *Evaluator) forEachShift(b geom.AABB, fn func(dx, dy int)) {
 // nothing.
 type worker struct {
 	clip     geom.Clipper
-	tris     []geom.Triangle
+	fan      []geom.FanTriangle
+	rq       regionQuad
 	basis    []float64
 	counters metrics.Counters
 	cand     []int32
@@ -462,19 +471,27 @@ func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
 
 	// Per-call element state, hoisted out of the cell and quadrature loops:
 	// the inverse reference map (one reciprocal determinant instead of a
-	// division per quadrature point) and the element's collapsed Horner
-	// coefficients.
+	// division per quadrature point), the element's collapsed Horner
+	// coefficients, and the clipper's validity check and CCW orientation.
 	invH := 1 / h
+	if !(tri.Area() > 0) {
+		// A zero-area or NaN element clips to nothing in every cell; the
+		// clip model is charged per cell and the empty sum scaled as below.
+		w.counters.Flops += uint64((i1 - i0 + 1) * (j1 - j0 + 1) * 3 * metrics.FlopsPerClipVertex)
+		return 0 * invH * invH
+	}
 	inv := tri.AffineInverse()
-	var hc []float64
+	ccw := tri.CCW()
+	rq := &w.rq
+	rq.hc = nil
 	if ev.horner != nil {
-		hc = ev.horner.ElemCoeffs(int(e))
+		rq.hc = ev.horner.ElemCoeffs(int(e))
 	}
 
 	minArea := 1e-14 * tri.Area()
-	basisN := ev.Field.Basis.N
 	coeffs := ev.Field.ElemCoeffs(int(e))
 	quadFlops := metrics.FlopsPerQuadEval(ev.Opt.P, ev.Opt.P)
+	quad := ev.quad
 
 	qpts := ev.rule.Points
 	qwts := ev.rule.Weights
@@ -487,18 +504,18 @@ func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
 		// squares are the break lattice), so the piece polynomials are
 		// hoisted per cell and evaluated directly — no floor, no bounds
 		// search.
-		py := ky.Piece(j)
+		rq.py = ky.Piece(j)
 		for i := i0; i <= i1; i++ {
 			cx0 := center.X + h*(bxlo+float64(i))
-			px := kx.Piece(i)
-			cell := geom.Box(cx0, cy0, cx0+h, cy0+h)
-			poly := w.clip.ClipTriangleBox(tri, cell)
+			rq.px = kx.Piece(i)
+			// bb is the exact bounding box of the element's vertices.
+			poly := w.clip.ClipBounded(ccw, bb, geom.Box(cx0, cy0, cx0+h, cy0+h))
 			w.counters.Flops += uint64((len(poly) + 3) * metrics.FlopsPerClipVertex)
 			if len(poly) < 3 {
 				continue
 			}
-			w.tris = geom.SplitFan(geom.Polygon(poly), w.tris[:0], minArea)
-			for _, tau := range w.tris {
+			w.fan = geom.SplitFanJac(poly, w.fan[:0], minArea)
+			for k := range w.fan {
 				w.counters.Regions++
 				w.counters.Flops += metrics.FlopsPerRegion
 				if w.edPerRegion > 0 {
@@ -506,46 +523,11 @@ func (ev *Evaluator) integrate(center geom.Point, e int32, w *worker) float64 {
 					w.counters.BytesUncoalesced += w.edPerRegion
 					w.counters.ScatteredLoads++
 				}
-				jac := 2 * tau.Area()
-				// Compose tau's reference map with the element's inverse
-				// map and the kernel-cell normalisation once per
-				// sub-region, so each quadrature point costs four fused
-				// affine evaluations instead of a map, an inverse solve
-				// and two normalisations.
-				bxu, bxv := tau.B.X-tau.A.X, tau.C.X-tau.A.X
-				byu, byv := tau.B.Y-tau.A.Y, tau.C.Y-tau.A.Y
-				dax, day := tau.A.X-inv.X0, tau.A.Y-inv.Y0
-				r0 := (dax*inv.Ys - day*inv.Xs) * inv.InvDet
-				ru := (bxu*inv.Ys - byu*inv.Xs) * inv.InvDet
-				rv := (bxv*inv.Ys - byv*inv.Xs) * inv.InvDet
-				s0 := (day*inv.Xr - dax*inv.Yr) * inv.InvDet
-				su := (byu*inv.Xr - bxu*inv.Yr) * inv.InvDet
-				sv := (byv*inv.Xr - bxv*inv.Yr) * inv.InvDet
-				tx0, txu, txv := (tau.A.X-cx0)*invH, bxu*invH, bxv*invH
-				ty0, tyu, tyv := (tau.A.Y-cy0)*invH, byu*invH, byv*invH
-				for q, rp := range qpts {
-					r := r0 + ru*rp.X + rv*rp.Y
-					s := s0 + su*rp.X + sv*rp.Y
-					var u float64
-					if hc != nil {
-						u = ev.horner.EvalCoeffs(hc, r, s)
-					} else {
-						ev.Field.Basis.EvalAll(r, s, w.basis)
-						for mIdx := 0; mIdx < basisN; mIdx++ {
-							u += coeffs[mIdx] * w.basis[mIdx]
-						}
-					}
-					tx := tx0 + txu*rp.X + txv*rp.Y
-					ty := ty0 + tyu*rp.X + tyv*rp.Y
-					kvx := px[len(px)-1]
-					for d := len(px) - 2; d >= 0; d-- {
-						kvx = kvx*tx + px[d]
-					}
-					kvy := py[len(py)-1]
-					for d := len(py) - 2; d >= 0; d-- {
-						kvy = kvy*ty + py[d]
-					}
-					sum += qwts[q] * jac * kvx * kvy * u
+				rq.mapRegion(&w.fan[k], &inv, cx0, cy0, invH)
+				if quad != nil {
+					sum = quad(sum, rq, qpts, qwts)
+				} else {
+					sum = ev.quadGeneric(sum, rq, coeffs, w)
 				}
 				w.counters.QuadEvals += nq
 				w.counters.Flops += quadFlops * nq

@@ -37,13 +37,32 @@ func integrateTarget(ev *Evaluator) (geom.Point, int32) {
 }
 
 // BenchmarkIntegrate times the innermost hot function: one element's
-// contribution to one stencil (clip, fan, quadrature).
+// contribution to one stencil (clip, fan, quadrature), at every order with
+// a straight-line quadrature kernel and once with one-sided kernels.
 func BenchmarkIntegrate(b *testing.B) {
-	for _, p := range []int{1, 2, 3} {
-		b.Run(map[int]string{1: "P1", 2: "P2", 3: "P3"}[p], func(b *testing.B) {
-			ev := benchEvaluator(b, p, Options{})
+	cases := []struct {
+		name     string
+		p        int
+		boundary Boundary
+	}{
+		{"P1", 1, Periodic},
+		{"P2", 2, Periodic},
+		{"P3", 3, Periodic},
+		{"P4", 4, Periodic},
+		{"P2-one-sided", 2, OneSided},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			ev := benchEvaluator(b, tc.p, Options{Boundary: tc.boundary})
 			wk := ev.newWorker()
 			center, e := integrateTarget(ev)
+			if tc.boundary == OneSided {
+				center, e = boundaryTarget(ev)
+				var err error
+				if wk.kx, wk.ky, err = ev.kernelsFor(center); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var sink float64
@@ -53,6 +72,19 @@ func BenchmarkIntegrate(b *testing.B) {
 			benchSink = sink
 		})
 	}
+}
+
+// boundaryTarget picks the element nearest the origin corner and its
+// centroid, where one-sided kernels shift in both directions.
+func boundaryTarget(ev *Evaluator) (geom.Point, int32) {
+	best, bestD := int32(0), math.Inf(1)
+	for e := range ev.elemBounds {
+		c := ev.Mesh.Centroid(e)
+		if d := c.X + c.Y; d < bestD {
+			best, bestD = int32(e), d
+		}
+	}
+	return ev.Mesh.Centroid(int(best)), best
 }
 
 // BenchmarkEvalAt times arbitrary-position queries (the streamline

@@ -248,32 +248,17 @@ func (ev *Evaluator) collectSignature(pos geom.Point, wk *worker, buf []sigEntry
 // canonicalise alike and can bucket together — with exact bit patterns and
 // finally the element id as tie-breaks to keep the order total. It then
 // rewrites each entry's element id into its partition label and returns
-// ids (label → element id), using labs as scratch. Entries sharing an
-// element keep their relative walk order under the (stable) sort only if
-// their geometry ties, which cannot happen for periodic images — distinct
-// images of one element differ by whole domain shifts — so the canonical
-// order of same-element images is ascending shift order: exactly the
-// translation-invariant order forEachShift accumulates them in, which
-// fixes the floating-point sum order of the shared row slot and is
-// therefore part of the congruence certificate.
+// ids (label → element id), using labs as scratch. The comparator is a
+// total order over every field of an entry, so two entries compare equal
+// only when they are identical and an unstable sort yields the same
+// sequence as a stable one, whatever the walk order. Periodic images of
+// one element never tie — they differ by whole domain shifts — so the
+// canonical order of same-element images is ascending shift order:
+// exactly the translation-invariant order forEachShift accumulates them
+// in, which fixes the floating-point sum order of the shared row slot and
+// is therefore part of the congruence certificate.
 func canonicalizeSignature(ents []sigEntry, ids []int32, labs map[int32]int32) ([]sigEntry, []int32) {
-	slices.SortStableFunc(ents, func(a, b sigEntry) int {
-		if a.key != b.key {
-			if a.key < b.key {
-				return -1
-			}
-			return 1
-		}
-		for k := 0; k < 6; k++ {
-			if a.b[k] != b.b[k] {
-				if a.b[k] < b.b[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return int(a.lab) - int(b.lab)
-	})
+	slices.SortFunc(ents, compareSigEntry)
 	ids = ids[:0]
 	clear(labs)
 	for i := range ents {
@@ -287,6 +272,26 @@ func canonicalizeSignature(ents []sigEntry, ids []int32, labs map[int32]int32) (
 		ents[i].lab = l
 	}
 	return ents, ids
+}
+
+// compareSigEntry orders entries by quantised key, then exact vertex bit
+// patterns, then element id: a total order over every field.
+func compareSigEntry(a, b sigEntry) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	for k := 0; k < 6; k++ {
+		if a.b[k] != b.b[k] {
+			if a.b[k] < b.b[k] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return int(a.lab) - int(b.lab)
 }
 
 // signatureHashes folds the kernel class and the canonicalised entry

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"unstencil/internal/geom"
@@ -304,4 +306,65 @@ func FuzzSignatureQuantum(f *testing.F) {
 func buildFuzzEvaluator(t *testing.T, m *mesh.Mesh) *Evaluator {
 	t.Helper()
 	return buildEvaluator(t, m, 1, assembleTestField, Options{Boundary: Periodic, Workers: 2})
+}
+
+// TestCanonicalizeShuffledWalk: canonicalizeSignature's output does not
+// depend on the candidate walk order. For every row of structured,
+// jittered and one-sided evaluators, shuffled copies of the walk — with
+// and without duplicated entries, at the default and a coarse quantum
+// that makes quantised keys tie — yield the same canonical entries, ids
+// and both hashes as the walk order and as a stable sort.
+func TestCanonicalizeShuffledWalk(t *testing.T) {
+	cases := []struct {
+		name string
+		m    *mesh.Mesh
+		b    Boundary
+	}{
+		{"structured", mesh.Structured(4), Periodic},
+		{"jittered", mesh.JitteredStructured(5, 0.3, 3), Periodic},
+		{"one-sided", mesh.Structured(4), OneSided},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range cases {
+		ev := buildEvaluator(t, tc.m, 2, assembleTestField, Options{Boundary: tc.b, Workers: 1})
+		wk := ev.getWorker()
+		for _, quantum := range []float64{sigQuantumDefault, 1.0 / 64} {
+			invQ := 1 / (ev.H * quantum)
+			labs := map[int32]int32{}
+			rows := 0
+			for i := 0; i < len(ev.Points); i += 3 {
+				pos := ev.Points[i].Pos
+				walk, err := ev.collectSignature(pos, wk, nil, invQ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%2 == 0 && len(walk) > 2 { // duplicated entries tie only with themselves
+					walk = append(walk, walk[0], walk[len(walk)/2])
+				}
+				kx, ky := ev.kernelClass(pos)
+				want, wantIDs := canonicalizeSignature(slices.Clone(walk), nil, labs)
+				wantE, wantQ := signatureHashes(kx, ky, want)
+				stable, unstable := slices.Clone(walk), slices.Clone(walk)
+				slices.SortStableFunc(stable, compareSigEntry)
+				slices.SortFunc(unstable, compareSigEntry)
+				if !slices.Equal(stable, unstable) {
+					t.Fatalf("%s row %d: unstable sort differs from stable sort", tc.name, i)
+				}
+				for s := 0; s < 4; s++ {
+					shuf := slices.Clone(walk)
+					rng.Shuffle(len(shuf), func(a, b int) { shuf[a], shuf[b] = shuf[b], shuf[a] })
+					got, gotIDs := canonicalizeSignature(shuf, nil, labs)
+					gotE, gotQ := signatureHashes(kx, ky, got)
+					if !slices.Equal(got, want) || !slices.Equal(gotIDs, wantIDs) || gotE != wantE || gotQ != wantQ {
+						t.Fatalf("%s row %d shuffle %d: canonical form depends on walk order", tc.name, i, s)
+					}
+				}
+				rows++
+			}
+			if rows == 0 {
+				t.Fatalf("%s: no rows checked", tc.name)
+			}
+		}
+		ev.putWorker(wk)
+	}
 }

@@ -1,5 +1,7 @@
 package geom
 
+import "math"
+
 // Polygon is a simple polygon stored as a CCW vertex loop. The clipping
 // routines in this package only produce convex polygons, but Area and
 // Centroid are valid for any simple CCW polygon.
@@ -138,27 +140,61 @@ func (c *Clipper) ClipConvex(subject, clip Polygon) Polygon {
 	return c.out
 }
 
-// ClipTriangleBox intersects triangle t with axis-aligned box b. This is the
-// hot path of the post-processor (stencil square × mesh element), so the box
-// clip is specialised: each of the four half-plane tests is a single
-// coordinate comparison. Degenerate inputs — a zero-area (collinear or
-// NaN-cornered) triangle, or an empty/inverted/NaN box — return an empty
-// polygon: a region that cannot contain area must never surface as NaN
-// downstream. The returned polygon aliases internal buffers.
+// ClipTriangleBox intersects triangle t with axis-aligned box b. Degenerate
+// inputs — a zero-area (collinear or NaN-cornered) triangle, or an
+// empty/inverted/NaN box — return an empty polygon: a region that cannot
+// contain area must never surface as NaN downstream. t may have either
+// orientation. The returned polygon aliases internal buffers.
+//
+// Hot loops that clip one triangle against many boxes validate and orient
+// the triangle once and call ClipBounded instead; ClipTriangleBox is
+// ClipBounded with no bounding box to skip passes on.
 func (c *Clipper) ClipTriangleBox(t Triangle, b AABB) Polygon {
-	if !(t.Area() > 0) || !(b.Min.X < b.Max.X) || !(b.Min.Y < b.Max.Y) {
+	if !(t.Area() > 0) {
 		return c.out[:0]
 	}
-	t = t.CCW()
+	inf := math.Inf(1)
+	return c.ClipBounded(t.CCW(), Box(-inf, -inf, inf, inf), b)
+}
+
+// ClipBounded intersects the CCW, positive-area triangle t with box b,
+// given tb, the exact bounding box of t's vertices. This is the hot path of
+// the post-processor (stencil square × mesh element), so the box clip is
+// specialised: each of the four Sutherland–Hodgman half-plane passes is a
+// single coordinate comparison per vertex. An empty/inverted/NaN box
+// returns an empty polygon. The returned polygon aliases internal buffers.
+//
+// While the polygon is still t, a pass is the identity when tb lies
+// entirely on its kept side — every vertex is kept and re-emitted in
+// order — so it is skipped; a triangle inside b skips all four.
+// Once a pass has run, its crossing points are rounded interpolations
+// that tb no longer provably bounds, so every later pass runs. The output
+// is therefore the exact vertex sequence of running all four passes.
+func (c *Clipper) ClipBounded(t Triangle, tb, b AABB) Polygon {
+	if !(b.Min.X < b.Max.X) || !(b.Min.Y < b.Max.Y) {
+		return c.out[:0]
+	}
 	c.out = append(c.out[:0], t.A, t.B, t.C)
-	c.clipX(b.Min.X, true)  // keep x >= min
-	c.clipX(b.Max.X, false) // keep x <= max
-	c.clipY(b.Min.Y, true)  // keep y >= min
-	c.clipY(b.Max.Y, false) // keep y <= max
+	cut := false
+	if !(tb.Min.X >= b.Min.X) {
+		c.clipX(b.Min.X, true) // keep x >= min
+		cut = true
+	}
+	if cut || !(tb.Max.X <= b.Max.X) {
+		c.clipX(b.Max.X, false) // keep x <= max
+		cut = true
+	}
+	if cut || !(tb.Min.Y >= b.Min.Y) {
+		c.clipY(b.Min.Y, true) // keep y >= min
+		cut = true
+	}
+	if cut || !(tb.Max.Y <= b.Max.Y) {
+		c.clipY(b.Max.Y, false) // keep y <= max
+	}
 	return c.out
 }
 
-// clipX and clipY are the specialised half-plane passes of ClipTriangleBox:
+// clipX and clipY are the specialised half-plane passes of ClipBounded:
 // the coordinate access is direct (no accessor indirection) and the pass
 // ping-pongs the two scratch buffers instead of copying between them.
 
@@ -213,22 +249,47 @@ func (c *Clipper) clipY(limit float64, keepGE bool) {
 	}
 }
 
-// SplitFan triangulates the convex polygon p into len(p)-2 triangles fanned
-// from vertex 0, appending them to dst and returning the extended slice.
-// Triangles with area below minArea (slivers produced by clipping exactly on
-// a boundary) are dropped; pass 0 to keep everything with positive area.
-// Collinear fans and NaN-cornered triangles fail the positive-area test and
-// are dropped, so degenerate clips contribute an empty region rather than
-// NaN integrals.
-func SplitFan(p Polygon, dst []Triangle, minArea float64) []Triangle {
+// FanTriangle is one triangle of a fan split with its Jacobian, twice its
+// area: the factor the sub-region's quadrature weights are scaled by.
+type FanTriangle struct {
+	Triangle
+	Jac float64
+}
+
+// SplitFanJac triangulates the convex polygon p into len(p)-2 triangles
+// fanned from vertex 0, appending them CCW with their Jacobians to dst and
+// returning the extended slice. Triangles with area below minArea (slivers
+// produced by clipping exactly on a boundary) are dropped; pass 0 to keep
+// everything with positive area. Collinear fans and NaN-cornered triangles
+// fail the positive-area test and are dropped, so degenerate clips
+// contribute an empty region rather than NaN integrals.
+//
+// Jac is 2·Area() of the emitted (CCW) triangle, bit for bit: the signed
+// area computed for the filter is reused unless the fan triangle had to be
+// reoriented, in which case it is recomputed on the reordered vertices.
+func SplitFanJac(p Polygon, dst []FanTriangle, minArea float64) []FanTriangle {
 	if !(minArea >= 0) {
 		minArea = 0 // a NaN/negative filter must not admit slivers
 	}
 	for i := 1; i+1 < len(p); i++ {
 		t := Triangle{p[0], p[i], p[i+1]}
-		if t.Area() > minArea {
-			dst = append(dst, t.CCW())
+		sa := t.SignedArea()
+		if !(math.Abs(sa) > minArea) {
+			continue
 		}
+		if sa < 0 {
+			t = Triangle{t.A, t.C, t.B}
+			sa = t.SignedArea()
+		}
+		dst = append(dst, FanTriangle{Triangle: t, Jac: 2 * math.Abs(sa)})
+	}
+	return dst
+}
+
+// SplitFan is SplitFanJac without the Jacobians.
+func SplitFan(p Polygon, dst []Triangle, minArea float64) []Triangle {
+	for _, ft := range SplitFanJac(p, nil, minArea) {
+		dst = append(dst, ft.Triangle)
 	}
 	return dst
 }

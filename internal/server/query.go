@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -115,9 +114,7 @@ func (q *QueryRequest) normalize() error {
 // evaluation workers via core's concurrency-safe EvalBatch.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad query: %v", err)
 		return
 	}

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -294,10 +295,37 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// decodeStrict decodes one JSON value from a request body into v,
+// rejecting unknown fields: the first step of every JSON endpoint's
+// validation, which answers 400 on its error.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeJSONSized is writeJSON with the body encoded up front, so the
+// response carries a Content-Length instead of chunked framing. The shard
+// partial responses — the cluster's bulk traffic — use it: the coordinator
+// reads a sized body into one exact-size buffer instead of growing a
+// decoder's buffer chunk by chunk.
+func writeJSONSized(w http.ResponseWriter, status int, v any) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)+1))
+	w.WriteHeader(status)
+	_, _ = w.Write(raw)
+	_, _ = w.Write([]byte{'\n'})
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -351,9 +379,7 @@ func (s *Server) handleMeshGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

@@ -12,7 +12,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -125,9 +124,7 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ShardEvalRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad shard eval request: %v", err)
 		return
 	}
@@ -185,7 +182,7 @@ func (s *Server) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		resp.Counters.Add(&pp.Counters)
 	}
 	s.mgr.totals.Record("shard-eval", &resp.Counters)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSONSized(w, http.StatusOK, resp)
 }
 
 // ShardCoverageRequest asks for the uncovered-point set of a failed patch
@@ -215,9 +212,7 @@ type ShardCoverageResponse struct {
 // handleShardCoverage serves POST /v1/shard/coverage.
 func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
 	var req ShardCoverageRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad shard coverage request: %v", err)
 		return
 	}

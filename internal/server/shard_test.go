@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -171,5 +172,34 @@ func TestShardEvalValidation(t *testing.T) {
 	}, nil)
 	if code != http.StatusNotFound {
 		t.Errorf("unknown mesh: status %d, want 404", code)
+	}
+}
+
+// TestShardEvalResponseSized: shard partial responses carry a
+// Content-Length matching the body, even past the chunking threshold, so
+// the coordinator can read them into one exact-size buffer.
+func TestShardEvalResponseSized(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, EvalWorkers: 2})
+	meshID := uploadMesh(t, ts, mesh.Structured(8))
+	body, err := json.Marshal(ShardEvalRequest{MeshID: meshID, P: 2, K: 4, Patches: []int{0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/shard/eval", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(raw)) || len(raw) <= 4096 {
+		t.Fatalf("status %d, Content-Length %d, body %d bytes: want 200 with a length past the chunking threshold",
+			resp.StatusCode, resp.ContentLength, len(raw))
+	}
+	var out ShardEvalResponse
+	if err := json.Unmarshal(raw, &out); err != nil || len(out.Patches) != 4 {
+		t.Fatalf("decoding sized response: %v (%d patches)", err, len(out.Patches))
 	}
 }
